@@ -1197,7 +1197,7 @@ impl DeltaNet {
     /// The what-if link-failure query (§4.3.2): which packets (atoms) are
     /// using `link`, and which other links carry any of those packets.
     pub fn link_failure_impact(&self, link: LinkId, check_loops: bool) -> WhatIfReport {
-        let affected = self.labels.get(link).clone();
+        let affected = self.labels.get(link);
         let affected_packets = normalize(
             affected
                 .iter()
@@ -1206,7 +1206,7 @@ impl DeltaNet {
         );
         let mut affected_links: Vec<LinkId> = Vec::new();
         for (other, label) in self.labels.iter() {
-            if other != link && label.intersects(&affected) {
+            if other != link && label.intersects(affected) {
                 affected_links.push(other);
             }
         }
@@ -1218,13 +1218,12 @@ impl DeltaNet {
             if avg_out_degree > 16 {
                 loops::find_loops_for_atoms_via(
                     &self.topology,
-                    &self.labels,
                     &self.atoms,
-                    &affected,
+                    affected,
                     |node, atom| self.successor_via_owner(node, atom),
                 )
             } else {
-                loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, &affected)
+                loops::find_loops_for_atoms(&self.topology, &self.labels, &self.atoms, affected)
             }
         } else {
             Vec::new()
@@ -2202,24 +2201,9 @@ mod tests {
         let view = net.mf_view();
         let atoms: Vec<AtomId> = view.atoms.iter().map(|(atom, _)| atom).collect();
         let mut scratch = MfScratch::new(view.topology.node_count());
-        let per_class_loops =
-            multifield::mf_cycles_for_slices(&view, &classes, &atoms, &mut scratch);
-        let per_class_holes =
-            multifield::mf_holes_for_slices(&view, &classes, &atoms, &mut scratch);
-        let mut union_loops: std::collections::BTreeMap<Vec<NodeId>, crate::atomset::AtomSet> =
-            Default::default();
-        for per_class in per_class_loops {
-            for (cycle, set) in per_class {
-                union_loops.entry(cycle).or_default().union_with(&set);
-            }
-        }
-        let mut union_holes: std::collections::BTreeMap<NodeId, crate::atomset::AtomSet> =
-            Default::default();
-        for per_class in per_class_holes {
-            for (node, set) in per_class {
-                union_holes.entry(node).or_default().union_with(&set);
-            }
-        }
+        let (loops, holes) = multifield::mf_repair_slices(&view, &classes, &atoms, &mut scratch);
+        let state = MfClassState::from_slices(&classes, loops, holes);
+        let (union_loops, union_holes) = (state.union_loops(), state.union_holes());
         assert!(!union_loops.is_empty(), "fixture should loop in [8,16)");
         assert!(!union_holes.is_empty(), "fixture should blackhole at a");
         assert_eq!(union_loops, multifield::mf_cycles(&view, &classes));

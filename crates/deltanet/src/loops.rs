@@ -6,7 +6,16 @@
 //! detection is a simple successor walk. The per-update check (§4.3.1
 //! "find in the delta-graph all forwarding loops") seeds the walk at the
 //! `(link, atom)` pairs that the update added; the data-plane-wide check
-//! used by the what-if experiments walks every link carrying the atom.
+//! used by the what-if experiments walks every switch for every candidate
+//! atom.
+//!
+//! Every loop check in the crate — the seeded per-update check, the
+//! candidate-atom scans behind the what-if query, the full audit and the
+//! violation monitor, and the cross-field walks of [`crate::multifield`] —
+//! runs the one walk of `CycleWalk`. Its visited and on-path marks live
+//! in generation-stamped arrays sized once per call, so a walk allocates
+//! nothing: starting a walk or a new atom is a counter bump, and only a
+//! found cycle is copied out.
 //!
 //! Detected loops are reported as [`InvariantViolation::ForwardingLoop`]
 //! with the cycle's nodes and the affected destination addresses as
@@ -34,55 +43,94 @@ pub fn successor(
         .find(|&l| labels.contains(l, atom))
 }
 
-/// Walks the α-restricted functional graph from `start` and returns the
-/// cycle's nodes if the walk revisits a node on its own path.
-fn walk_for_cycle(
-    topology: &Topology,
-    labels: &Labels,
-    start: NodeId,
-    atom: AtomId,
-) -> Option<Vec<NodeId>> {
-    let mut path: Vec<NodeId> = Vec::new();
-    let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-    let mut cur = start;
-    loop {
-        if let Some(&pos) = on_path.get(&cur) {
-            return Some(path[pos..].to_vec());
+/// Reusable scratch for cycle walks on a functional graph: the single walk
+/// behind every loop check.
+///
+/// Walks are grouped into *passes* — one per atom, or per `(atom, class)`
+/// slice on a multi-field engine. `mark[n]` holds the id of the last walk
+/// that stepped on node `n`: equal to the current walk means `n` is on the
+/// walk's own path (at `path_pos[n]`), and at least the pass's first walk
+/// id means an earlier walk of the pass already explored `n`, so the walk
+/// can stop — any cycle down that tail was recorded by the walk that got
+/// there first. Walk ids only grow; when they would wrap, every mark is
+/// reset to 0 and counting restarts.
+pub(crate) struct CycleWalk {
+    mark: Vec<u32>,
+    path_pos: Vec<u32>,
+    walk: u32,
+    pass_start: u32,
+    path: Vec<NodeId>,
+}
+
+impl CycleWalk {
+    /// Scratch for a topology with `node_count` nodes.
+    pub(crate) fn new(node_count: usize) -> Self {
+        CycleWalk {
+            mark: vec![0; node_count],
+            path_pos: vec![0; node_count],
+            walk: 0,
+            pass_start: 1,
+            path: Vec::new(),
         }
-        on_path.insert(cur, path.len());
-        path.push(cur);
-        match successor(topology, labels, cur, atom) {
-            Some(link) => {
-                let next = topology.link(link).dst;
-                if topology.is_drop_node(next) {
-                    return None;
-                }
-                cur = next;
+    }
+
+    fn reset_marks(&mut self) {
+        self.mark.iter_mut().for_each(|m| *m = 0);
+        self.walk = 0;
+        self.pass_start = 1;
+    }
+
+    /// Starts a new pass: later walks stop at nodes explored within it.
+    pub(crate) fn begin_pass(&mut self) {
+        if self.walk == u32::MAX {
+            self.reset_marks();
+        }
+        self.pass_start = self.walk + 1;
+    }
+
+    /// Follows `succ` from `start` until the successor is missing, is the
+    /// drop node, or revisits a node. Returns the canonical cycle when the
+    /// walk closes on its own path; `None` when it ends or joins a node
+    /// explored earlier in the pass.
+    pub(crate) fn walk(
+        &mut self,
+        topology: &Topology,
+        start: NodeId,
+        mut succ: impl FnMut(NodeId) -> Option<LinkId>,
+    ) -> Option<Vec<NodeId>> {
+        if self.walk == u32::MAX {
+            self.reset_marks();
+        }
+        self.walk += 1;
+        self.path.clear();
+        let mut cur = start;
+        loop {
+            let i = cur.index();
+            if self.mark[i] == self.walk {
+                return Some(canonicalize(&self.path[self.path_pos[i] as usize..]));
             }
-            None => return None,
-        }
-        if path.len() > topology.node_count() + 1 {
-            // Defensive: cannot happen because a functional graph revisits a
-            // node within |V| steps, but guards against label corruption.
-            return None;
+            if self.mark[i] >= self.pass_start {
+                return None;
+            }
+            self.mark[i] = self.walk;
+            self.path_pos[i] = self.path.len() as u32;
+            self.path.push(cur);
+            let next = topology.link(succ(cur)?).dst;
+            if topology.is_drop_node(next) {
+                return None;
+            }
+            cur = next;
         }
     }
 }
 
 /// Canonical rotation of a cycle so that identical cycles discovered from
-/// different seeds compare equal.
-pub(crate) fn canonicalize(mut cycle: Vec<NodeId>) -> Vec<NodeId> {
-    if cycle.is_empty() {
-        return cycle;
-    }
-    let min_pos = cycle
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, n)| **n)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    cycle.rotate_left(min_pos);
-    cycle
+/// different starts compare equal.
+fn canonicalize(cycle: &[NodeId]) -> Vec<NodeId> {
+    let min_pos = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap_or(0);
+    let mut out = cycle.to_vec();
+    out.rotate_left(min_pos);
+    out
 }
 
 /// Finds forwarding loops reachable from the given `(link, atom)` seeds —
@@ -96,16 +144,21 @@ pub fn find_loops_from_seeds(
     atoms: &AtomMap,
     seeds: &[(LinkId, AtomId)],
 ) -> Vec<InvariantViolation> {
+    if seeds.is_empty() {
+        return Vec::new();
+    }
     let mut cycles: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
+    let mut walker = CycleWalk::new(topology.node_count());
     for &(link, atom) in seeds {
         if !labels.contains(link, atom) {
             // The seed may have been superseded by a later change in an
             // aggregated delta-graph.
             continue;
         }
-        let start = topology.link(link).src;
-        if let Some(cycle) = walk_for_cycle(topology, labels, start, atom) {
-            cycles.entry(canonicalize(cycle)).or_default().insert(atom);
+        walker.begin_pass();
+        let succ = |n| successor(topology, labels, n, atom);
+        if let Some(cycle) = walker.walk(topology, topology.link(link).src, succ) {
+            cycles.entry(cycle).or_default().insert(atom);
         }
     }
     into_violations(cycles, atoms)
@@ -120,7 +173,7 @@ pub fn find_loops_for_atoms(
     atoms: &AtomMap,
     candidates: &AtomSet,
 ) -> Vec<InvariantViolation> {
-    find_loops_for_atoms_via(topology, labels, atoms, candidates, |node, atom| {
+    find_loops_for_atoms_via(topology, atoms, candidates, |node, atom| {
         successor(topology, labels, node, atom)
     })
 }
@@ -132,7 +185,6 @@ pub fn find_loops_for_atoms(
 /// a node's out-links per hop dominates the what-if `+Loops` query.
 pub fn find_loops_for_atoms_via<F>(
     topology: &Topology,
-    labels: &Labels,
     atoms: &AtomMap,
     candidates: &AtomSet,
     succ: F,
@@ -140,10 +192,7 @@ pub fn find_loops_for_atoms_via<F>(
 where
     F: Fn(NodeId, AtomId) -> Option<LinkId>,
 {
-    into_violations(
-        cycles_for_atoms_via(topology, labels, candidates, succ),
-        atoms,
-    )
+    into_violations(cycles_for_atoms_via(topology, candidates, succ), atoms)
 }
 
 /// The cycle-level core of [`find_loops_for_atoms_via`]: every forwarding
@@ -154,66 +203,25 @@ where
 /// use — a differential test then reduces to map equality.
 pub(crate) fn cycles_for_atoms_via<F>(
     topology: &Topology,
-    labels: &Labels,
     candidates: &AtomSet,
     succ: F,
 ) -> HashMap<Vec<NodeId>, AtomSet>
 where
     F: Fn(NodeId, AtomId) -> Option<LinkId>,
 {
-    // One pass over the labelled links collects, per candidate atom, the
-    // switches that emit it; the per-atom functional-graph walks then start
-    // only from those switches. This keeps the cost at
-    // O(L · |label ∩ candidates| + Σ_atom walk-length) instead of scanning
-    // every link once per atom.
-    let mut emitters: HashMap<AtomId, Vec<NodeId>> = HashMap::new();
-    for (link, label) in labels.iter() {
-        if !label.intersects(candidates) {
-            continue;
-        }
-        let src = topology.link(link).src;
-        let mut common = label.clone();
-        common.intersect_with(candidates);
-        for atom in common.iter() {
-            emitters.entry(atom).or_default().push(src);
-        }
-    }
-
+    // One pass per candidate atom, with a walk from every switch. A switch
+    // that does not emit the atom ends its walk at the first successor
+    // lookup, and every node of a cycle emits the atom, so no emitter list
+    // is needed; walks that join a node explored earlier in the pass stop
+    // there. Cost: O(|candidates| · (switches + Σ walk lengths)) successor
+    // lookups, with O(nodes) scratch per call and no allocation per walk.
     let mut cycles: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
-    let mut visited = vec![false; topology.node_count()];
-    for (atom, sources) in emitters {
-        visited.iter_mut().for_each(|v| *v = false);
-        for &start in &sources {
-            if visited[start.index()] {
-                continue;
-            }
-            let mut cur = start;
-            let mut path: Vec<NodeId> = Vec::new();
-            let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-            loop {
-                if visited[cur.index()] && !on_path.contains_key(&cur) {
-                    break; // joins an already-explored (acyclic) walk
-                }
-                if let Some(&pos) = on_path.get(&cur) {
-                    cycles
-                        .entry(canonicalize(path[pos..].to_vec()))
-                        .or_default()
-                        .insert(atom);
-                    break;
-                }
-                on_path.insert(cur, path.len());
-                path.push(cur);
-                visited[cur.index()] = true;
-                match succ(cur, atom) {
-                    Some(l) => {
-                        let next = topology.link(l).dst;
-                        if topology.is_drop_node(next) {
-                            break;
-                        }
-                        cur = next;
-                    }
-                    None => break,
-                }
+    let mut walker = CycleWalk::new(topology.node_count());
+    for atom in candidates.iter() {
+        walker.begin_pass();
+        for start in topology.switch_nodes() {
+            if let Some(cycle) = walker.walk(topology, start, |n| succ(n, atom)) {
+                cycles.entry(cycle).or_default().insert(atom);
             }
         }
     }
@@ -252,14 +260,19 @@ pub(crate) fn into_violations(
         })
         .collect();
     // Deterministic order for reporting and tests.
-    out.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    out.sort_by_cached_key(|v| format!("{v:?}"));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DeltaNet;
+    use netmodel::checker::Checker;
     use netmodel::interval::Interval;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use testutil::{random_interval, random_ops, random_topology};
 
     /// Builds a 3-node topology with a loop s0 -> s1 -> s2 -> s0 for atom 0
     /// and a loop-free path for atom 1.
@@ -414,6 +427,160 @@ mod tests {
         match &loops[0] {
             InvariantViolation::ForwardingLoop { nodes, .. } => assert_eq!(nodes, &vec![n[0]]),
             other => panic!("unexpected violation {other:?}"),
+        }
+    }
+
+    /// A random plane of per-atom functional graphs on a `testutil`
+    /// topology plus self-loops: each atom is emitted by a random subset of
+    /// switches (none for about one atom in five), each forwarding over one
+    /// random out-link, drop links included. Also returns the forwarding
+    /// table the labels were written from.
+    #[allow(clippy::type_complexity)]
+    fn random_plane(
+        rng: &mut StdRng,
+    ) -> (Topology, Labels, AtomMap, HashMap<(AtomId, NodeId), LinkId>) {
+        let n = rng.gen_range(2..9);
+        let mut topo = random_topology(rng, n, true);
+        for _ in 0..rng.gen_range(0..3) {
+            let s = NodeId(rng.gen_range(0..n as u32));
+            topo.add_link(s, s);
+        }
+        let mut atoms = AtomMap::new(8);
+        for _ in 0..rng.gen_range(1..8) {
+            atoms.create_atoms(random_interval(rng, 8));
+        }
+        let (mut labels, mut table) = (Labels::new(), HashMap::new());
+        for (atom, _) in atoms.iter() {
+            let emit = if rng.gen_bool(0.2) { 0.0 } else { 0.75 };
+            for node in topo.switch_nodes() {
+                let out = topo.out_links(node);
+                let link = out[rng.gen_range(0..out.len())];
+                if rng.gen_bool(emit) {
+                    labels.insert(link, atom);
+                    table.insert((atom, node), link);
+                }
+            }
+        }
+        (topo, labels, atoms, table)
+    }
+
+    /// The brute-force reference: one unpruned walk per `(atom, start)`
+    /// with an explicit seen-list, each closed cycle rotated to begin at
+    /// its smallest node.
+    fn reference_cycles(
+        topo: &Topology,
+        labels: &Labels,
+        starts: impl IntoIterator<Item = (AtomId, NodeId)>,
+    ) -> HashMap<Vec<NodeId>, AtomSet> {
+        let mut cycles: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
+        for (atom, mut cur) in starts {
+            let mut seen: Vec<NodeId> = Vec::new();
+            while !topo.is_drop_node(cur) {
+                if let Some(pos) = seen.iter().position(|&n| n == cur) {
+                    let mut cycle = seen.split_off(pos);
+                    let min = (0..cycle.len()).min_by_key(|&i| cycle[i]).unwrap();
+                    cycle.rotate_left(min);
+                    cycles.entry(cycle).or_default().insert(atom);
+                    break;
+                }
+                seen.push(cur);
+                match successor(topo, labels, cur, atom) {
+                    Some(link) => cur = topo.link(link).dst,
+                    None => break,
+                }
+            }
+        }
+        cycles
+    }
+
+    fn every_start<'a>(
+        topo: &'a Topology,
+        atoms: &'a AtomSet,
+    ) -> impl Iterator<Item = (AtomId, NodeId)> + 'a {
+        atoms
+            .iter()
+            .flat_map(move |a| topo.switch_nodes().map(move |n| (a, n)))
+    }
+
+    #[test]
+    fn kernel_matches_brute_force_on_random_planes() {
+        let mut wraps = 0;
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(0xC7C1E ^ seed);
+            let (topo, labels, atoms, table) = random_plane(&mut rng);
+            let cands: AtomSet = atoms
+                .iter()
+                .map(|(a, _)| a)
+                .filter(|_| rng.gen_bool(0.7))
+                .collect();
+            let expect = reference_cycles(&topo, &labels, every_start(&topo, &cands));
+            let by_label = |n, a| successor(&topo, &labels, n, a);
+            assert_eq!(
+                cycles_for_atoms_via(&topo, &cands, by_label),
+                expect,
+                "seed {seed}"
+            );
+            let by_table = |n, a| table.get(&(a, n)).copied();
+            assert_eq!(
+                cycles_for_atoms_via(&topo, &cands, by_table),
+                expect,
+                "seed {seed}"
+            );
+
+            // The same scan on a walker a few walks short of the wrap, so
+            // the reset lands at a pass start or inside a pass.
+            let mut walker = CycleWalk::new(topo.node_count());
+            walker.walk = u32::MAX - 1 - (seed % 3) as u32;
+            let mut wrapped: HashMap<Vec<NodeId>, AtomSet> = HashMap::new();
+            for atom in cands.iter() {
+                walker.begin_pass();
+                for start in topo.switch_nodes() {
+                    if let Some(cycle) = walker.walk(&topo, start, |n| by_label(n, atom)) {
+                        wrapped.entry(cycle).or_default().insert(atom);
+                    }
+                }
+            }
+            wraps += usize::from(walker.walk < 1000);
+            assert_eq!(wrapped, expect, "seed {seed}: across the wrap");
+
+            // Seeds in random order, about half of them stale.
+            let labelled: Vec<(LinkId, AtomId)> =
+                table.iter().map(|(&(a, _), &l)| (l, a)).collect();
+            let seeds: Vec<(LinkId, AtomId)> = (0..rng.gen_range(0..12))
+                .map(|_| match labelled.len() {
+                    len if len > 0 && rng.gen_bool(0.5) => labelled[rng.gen_range(0..len)],
+                    _ => (
+                        LinkId(rng.gen_range(0..topo.link_count() as u32)),
+                        AtomId(rng.gen_range(0..4)),
+                    ),
+                })
+                .collect();
+            let live = seeds.iter().filter(|&&(l, a)| labels.contains(l, a));
+            let expect =
+                reference_cycles(&topo, &labels, live.map(|&(l, a)| (a, topo.link(l).src)));
+            let got = find_loops_from_seeds(&topo, &labels, &atoms, &seeds);
+            assert_eq!(
+                got,
+                into_violations(expect, &atoms),
+                "seed {seed}: seeded walks"
+            );
+        }
+        assert!(wraps > 150, "only {wraps} scans crossed the wrap");
+    }
+
+    #[test]
+    fn kernel_owner_successor_matches_brute_force_on_engine_planes() {
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(0x0E7E5 ^ seed);
+            let topo = random_topology(&mut rng, 5, true);
+            let mut net = DeltaNet::with_topology(topo.clone());
+            for op in random_ops(&mut rng, &topo, 60, 8, 6, 0.3) {
+                net.apply(&op);
+            }
+            let all: AtomSet = net.atoms().iter().map(|(a, _)| a).collect();
+            let expect = reference_cycles(&topo, net.labels(), every_start(&topo, &all));
+            let got = cycles_for_atoms_via(&topo, &all, |n, a| net.successor_via_owner(n, a));
+            assert_eq!(got, expect, "seed {seed}");
         }
     }
 }

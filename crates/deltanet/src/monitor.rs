@@ -206,7 +206,7 @@ impl ViolationMonitor {
     /// the only O(plane) step; everything afterwards is incremental.
     pub fn from_state(topology: &Topology, labels: &Labels, atoms: &AtomMap) -> Self {
         let all: AtomSet = atoms.iter().map(|(a, _)| a).collect();
-        let cycles = loops::cycles_for_atoms_via(topology, labels, &all, |node, atom| {
+        let cycles = loops::cycles_for_atoms_via(topology, &all, |node, atom| {
             loops::successor(topology, labels, node, atom)
         });
         let holes = topology
@@ -261,36 +261,23 @@ impl ViolationMonitor {
         holes: BTreeMap<NodeId, AtomSet>,
     ) {
         self.events.clear();
-        let loops_before: BTreeSet<Vec<NodeId>> = self.loops.keys().cloned().collect();
-        let holes_before: BTreeSet<NodeId> = self.holes.keys().copied().collect();
-        self.loops = loops;
+        let loops_before = std::mem::replace(&mut self.loops, loops);
+        let holes_before = std::mem::replace(&mut self.holes, holes);
         self.loops.retain(|_, set| !set.is_empty());
-        self.holes = holes;
         self.holes.retain(|_, set| !set.is_empty());
-        for cycle in &loops_before {
-            if !self.loops.contains_key(cycle) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for cycle in self.loops.keys() {
-            if !loops_before.contains(cycle) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for &node in &holes_before {
-            if !self.holes.contains_key(&node) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
-            }
-        }
-        for &node in self.holes.keys() {
-            if !holes_before.contains(&node) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
-            }
-        }
+        let loop_key = |cycle: &Vec<NodeId>| ViolationKey::Loop(cycle.clone());
+        let resolved = loops_before.keys().filter(|c| !self.loops.contains_key(*c));
+        self.events
+            .extend(resolved.map(loop_key).map(MonitorEvent::resolved));
+        let appeared = self.loops.keys().filter(|c| !loops_before.contains_key(*c));
+        self.events
+            .extend(appeared.map(loop_key).map(MonitorEvent::appeared));
+        let resolved = holes_before.keys().filter(|n| !self.holes.contains_key(*n));
+        self.events
+            .extend(resolved.map(|&n| MonitorEvent::resolved(ViolationKey::Blackhole(n))));
+        let appeared = self.holes.keys().filter(|n| !holes_before.contains_key(*n));
+        self.events
+            .extend(appeared.map(|&n| MonitorEvent::appeared(ViolationKey::Blackhole(n))));
     }
 
     /// Repairs the violation state from one update's delta-graph, recording
@@ -305,9 +292,6 @@ impl ViolationMonitor {
         if delta.splits.is_empty() && delta.added.is_empty() && delta.removed.is_empty() {
             return;
         }
-        let loops_before: BTreeSet<Vec<NodeId>> = self.loops.keys().cloned().collect();
-        let holes_before: BTreeSet<NodeId> = self.holes.keys().copied().collect();
-
         // The atoms whose violation membership may differ from the tracked
         // state: atoms with changed labels, plus every atom created by a
         // split. Split atoms are *recomputed* from the current labels, never
@@ -322,17 +306,31 @@ impl ViolationMonitor {
 
         // 1. Loops: retire every candidate atom from every tracked cycle,
         // then re-admit whatever a fresh walk (the full scan's own
-        // primitive) finds for exactly those atoms.
+        // primitive) finds for exactly those atoms. A cycle the walk
+        // creates appeared; one it leaves empty resolved.
         for set in self.loops.values_mut() {
             set.difference_with(&affected);
         }
-        let recomputed = loops::cycles_for_atoms_via(topology, labels, &affected, |node, atom| {
+        let recomputed = loops::cycles_for_atoms_via(topology, &affected, |node, atom| {
             loops::successor(topology, labels, node, atom)
         });
+        let mut appeared: Vec<Vec<NodeId>> = Vec::new();
         for (cycle, set) in recomputed {
+            if !self.loops.contains_key(&cycle) {
+                appeared.push(cycle.clone());
+            }
             self.loops.entry(cycle).or_default().union_with(&set);
         }
-        self.loops.retain(|_, set| !set.is_empty());
+        appeared.sort_unstable();
+        let events = &mut self.events;
+        self.loops.retain(|cycle, set| {
+            if set.is_empty() {
+                events.push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
+            }
+            !set.is_empty()
+        });
+        let appeared = appeared.into_iter().map(ViolationKey::Loop);
+        self.events.extend(appeared.map(MonitorEvent::appeared));
 
         // 2. Blackholes: the predicate at (n, α) reads only the labels of
         // n's in- and out-links for α, so for changed pairs the candidates
@@ -355,40 +353,35 @@ impl ViolationMonitor {
                 candidates.insert((node, pair.new));
             }
         }
-        for (node, atom) in candidates {
-            if blackholes::is_blackholed_at(topology, labels, node, atom) {
-                self.holes.entry(node).or_default().insert(atom);
-            } else if let Some(set) = self.holes.get_mut(&node) {
-                set.remove(atom);
+        // Candidates come grouped by switch, so each switch's set is
+        // settled before the next: its identity transitions iff it went
+        // from empty to non-empty or back.
+        let mut resolved: Vec<NodeId> = Vec::new();
+        let mut appeared: Vec<NodeId> = Vec::new();
+        let mut candidates = candidates.into_iter().peekable();
+        while let Some(&(node, _)) = candidates.peek() {
+            let set = self.holes.entry(node).or_default();
+            let was_active = !set.is_empty();
+            while let Some((_, atom)) = candidates.next_if(|&(n, _)| n == node) {
+                if blackholes::is_blackholed_at(topology, labels, node, atom) {
+                    set.insert(atom);
+                } else {
+                    set.remove(atom);
+                }
+            }
+            match (was_active, set.is_empty()) {
+                (true, true) => resolved.push(node),
+                (false, false) => appeared.push(node),
+                _ => {}
+            }
+            if set.is_empty() {
+                self.holes.remove(&node);
             }
         }
-        self.holes.retain(|_, set| !set.is_empty());
-
-        // 4. Transitions at the violation-identity level.
-        for cycle in &loops_before {
-            if !self.loops.contains_key(cycle) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for cycle in self.loops.keys() {
-            if !loops_before.contains(cycle) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Loop(cycle.clone())));
-            }
-        }
-        for &node in &holes_before {
-            if !self.holes.contains_key(&node) {
-                self.events
-                    .push(MonitorEvent::resolved(ViolationKey::Blackhole(node)));
-            }
-        }
-        for &node in self.holes.keys() {
-            if !holes_before.contains(&node) {
-                self.events
-                    .push(MonitorEvent::appeared(ViolationKey::Blackhole(node)));
-            }
-        }
+        let resolved = resolved.into_iter().map(ViolationKey::Blackhole);
+        self.events.extend(resolved.map(MonitorEvent::resolved));
+        let appeared = appeared.into_iter().map(ViolationKey::Blackhole);
+        self.events.extend(appeared.map(MonitorEvent::appeared));
     }
 
     /// Rewrites every tracked atom through the remap table of a compaction

@@ -22,15 +22,14 @@
 //! secondary class c)` pair, whose forwarding function `F_{α,c}` maps each
 //! node to [`mf_successor`]'s decision. The full scans ([`mf_cycles`],
 //! [`mf_holes`]) evaluate every slice; the scoped repair
-//! ([`mf_repair_slices`], with [`mf_cycles_for_slices`] /
-//! [`mf_holes_for_slices`] as its two projections) evaluates exactly the
-//! `atoms × classes` rectangle it is given. Both compute the same
-//! predicates — pure functions of `F_{α,c}` — but through independent
-//! implementations: the full scans re-resolve owner cells as they walk,
-//! while the repair memoizes each emitter's decision once per slice and
-//! chases stamped scratch arrays. A slice's scoped result is therefore
-//! bit-identical to its share of the full scan, and the differential
-//! suite cross-checks two genuinely distinct code paths.
+//! ([`mf_repair_slices`]) evaluates exactly the `atoms × classes`
+//! rectangle it is given. Both compute the same predicates — pure
+//! functions of `F_{α,c}` — through the crate's one cycle walk
+//! (`loops::CycleWalk`), but resolve decisions independently: the full
+//! scans re-resolve owner cells as they walk, while the repair memoizes
+//! each emitter's decision once per slice. A slice's scoped result is
+//! therefore bit-identical to its share of the full scan, and the
+//! differential suite cross-checks the two resolutions.
 //!
 //! One rule update changes `F_{α,c}` only at the rule's source node, only
 //! for atoms of its (clip-adjusted) interval, and only in classes its
@@ -65,7 +64,7 @@
 
 use crate::atoms::{AtomId, AtomMap, REMAP_DEAD};
 use crate::atomset::AtomSet;
-use crate::loops::canonicalize;
+use crate::loops::CycleWalk;
 use crate::owner::Owner;
 use netmodel::header::MAX_SECONDARY_FIELDS;
 use netmodel::interval::{Bound, Interval};
@@ -114,32 +113,20 @@ pub(crate) fn sec_classes(sec_atoms: &[AtomMap]) -> Vec<SecClass> {
     classes
 }
 
-/// Reusable scratch for slice walks: the per-atom emitter list and the
-/// visited marks, hoisted so neither the full scans nor the scoped repair
-/// allocate (or clear) per slice. Visited marks are generation-stamped —
-/// starting a new slice is a counter bump, not an O(nodes) clear.
+/// Reusable scratch for slice walks: the per-atom emitter list, the slice
+/// memo and the cycle walk, hoisted so neither the full scans nor the
+/// scoped repair allocate per slice.
 pub(crate) struct MfScratch {
     /// Nodes owning at least one rule for the current primary atom,
     /// collected once per atom and reused across every class.
     emitters: Vec<NodeId>,
-    /// `visited[n] == generation` marks node `n` as explored in the
-    /// current slice.
-    visited: Vec<u32>,
-    generation: u32,
-    /// Memoized forwarding decisions of the current slice, valid where
-    /// `succ_gen[n] == generation`: the fused repair resolves each
-    /// emitter's owner cell exactly once per slice, and both the cycle
-    /// walks and the blackhole predicate read from here.
+    /// Memoized forwarding decisions of the current slice, set at the
+    /// atom's emitters and `None` everywhere else: the fused repair
+    /// resolves each emitter's owner cell exactly once per slice, and both
+    /// the cycle walks and the blackhole predicate read from here.
     succ: Vec<Option<LinkId>>,
-    succ_gen: Vec<u32>,
-    /// Walk-local state for the cycle search: `on_path_gen[n] == walk_gen`
-    /// marks node `n` as lying on the walk's current path, at position
-    /// `path_pos[n]` of `path`. Stamped like `visited`, so starting a new
-    /// walk is a counter bump, not a hash-map allocation.
-    on_path_gen: Vec<u32>,
-    path_pos: Vec<u32>,
-    walk_gen: u32,
-    path: Vec<NodeId>,
+    /// The crate's one cycle walk; each slice is one pass.
+    walk: CycleWalk,
     /// Nodes some winner forwards into (blackhole candidates); may hold
     /// duplicates, the sink is idempotent.
     arrived: Vec<NodeId>,
@@ -150,47 +137,23 @@ impl MfScratch {
     pub(crate) fn new(node_count: usize) -> Self {
         MfScratch {
             emitters: Vec::new(),
-            visited: vec![0; node_count],
-            generation: 0,
             succ: vec![None; node_count],
-            succ_gen: vec![0; node_count],
-            on_path_gen: vec![0; node_count],
-            path_pos: vec![0; node_count],
-            walk_gen: 0,
-            path: Vec::new(),
+            walk: CycleWalk::new(node_count),
             arrived: Vec::new(),
         }
     }
 
-    /// Collects the emitter nodes of `atom`; returns `false` when the atom
-    /// has no owners anywhere (the whole atom row can be skipped).
+    /// Collects the emitter nodes of `atom`, clearing the previous atom's
+    /// memo; returns `false` when the atom has no owners anywhere (the
+    /// whole atom row can be skipped).
     fn collect_emitters(&mut self, view: &MfView<'_>, atom: AtomId) -> bool {
+        for &node in &self.emitters {
+            self.succ[node.index()] = None;
+        }
         self.emitters.clear();
         self.emitters
             .extend(view.owner.sources(atom).map(|(node, _)| node));
         !self.emitters.is_empty()
-    }
-
-    /// Begins one `(atom, class)` slice: bumps the visited generation and
-    /// hands out the emitter list plus the stamped visited marks.
-    fn slice(&mut self) -> (&[NodeId], &mut [u32], u32) {
-        if self.generation == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.succ_gen.iter_mut().for_each(|v| *v = 0);
-            self.generation = 0;
-        }
-        self.generation += 1;
-        (&self.emitters, &mut self.visited, self.generation)
-    }
-
-    /// The memoized decision at `node` for the current slice.
-    #[inline]
-    fn succ_of(&self, node: NodeId) -> Option<LinkId> {
-        if self.succ_gen[node.index()] == self.generation {
-            self.succ[node.index()]
-        } else {
-            None
-        }
     }
 }
 
@@ -264,48 +227,6 @@ pub(crate) fn decision_changed(
     }
 }
 
-/// Follows the per-class forwarding function from `start`, recording any
-/// cycle it runs into. A node whose visited mark equals `generation` was
-/// already explored within the current `(atom, class)` slice, so walks
-/// that share a tail deduplicate; the caller bumps the generation between
-/// slices ([`MfScratch::slice`]).
-fn walk_for_cycle(
-    view: &MfView<'_>,
-    start: NodeId,
-    atom: AtomId,
-    class: &SecClass,
-    visited: &mut [u32],
-    generation: u32,
-    cycles: &mut BTreeMap<Vec<NodeId>, AtomSet>,
-) {
-    let mut path: Vec<NodeId> = Vec::new();
-    let mut on_path: HashMap<NodeId, usize> = HashMap::new();
-    let mut current = start;
-    loop {
-        if let Some(&pos) = on_path.get(&current) {
-            let cycle = canonicalize(path[pos..].to_vec());
-            cycles.entry(cycle).or_default().insert(atom);
-            return;
-        }
-        if visited[current.index()] == generation {
-            // Joined a path already explored this slice; any cycle it
-            // leads to was recorded by the walk that got there first.
-            return;
-        }
-        visited[current.index()] = generation;
-        on_path.insert(current, path.len());
-        path.push(current);
-        let Some(link) = mf_successor(view, current, atom, class) else {
-            return;
-        };
-        let next = view.topology.link(link).dst;
-        if view.topology.is_drop_node(next) {
-            return;
-        }
-        current = next;
-    }
-}
-
 /// Evaluates the blackhole predicate for one `(atom, class)` slice,
 /// invoking `sink` for every switch where the class arrives unhandled. A
 /// class blackholes at a switch when some in-link delivers it there (the
@@ -343,16 +264,19 @@ fn holes_for_slice(
 /// different secondary classes but on the same node cycle union their
 /// primary atoms, matching how violations aggregate packet intervals.
 pub(crate) fn mf_cycles(view: &MfView<'_>, classes: &[SecClass]) -> BTreeMap<Vec<NodeId>, AtomSet> {
-    let mut cycles = BTreeMap::new();
+    let mut cycles: BTreeMap<Vec<NodeId>, AtomSet> = BTreeMap::new();
     let mut scratch = MfScratch::new(view.topology.node_count());
     for (atom, _) in view.atoms.iter() {
         if !scratch.collect_emitters(view, atom) {
             continue;
         }
         for class in classes {
-            let (emitters, visited, generation) = scratch.slice();
-            for &start in emitters {
-                walk_for_cycle(view, start, atom, class, visited, generation, &mut cycles);
+            scratch.walk.begin_pass();
+            for &start in &scratch.emitters {
+                let succ = |n| mf_successor(view, n, atom, class);
+                if let Some(cycle) = scratch.walk.walk(view.topology, start, succ) {
+                    cycles.entry(cycle).or_default().insert(atom);
+                }
             }
         }
     }
@@ -392,35 +316,9 @@ pub(crate) type ClassLoops = Vec<BTreeMap<Vec<NodeId>, AtomSet>>;
 /// Per-class blackhole maps, indexed like the `classes` slice handed in.
 pub(crate) type ClassHoles = Vec<BTreeMap<NodeId, AtomSet>>;
 
-/// Scoped loop repair: re-walks exactly the `atoms × classes` rectangle,
-/// returning the cycles per class (indexed like `classes`). Computes the
-/// same per-slice predicate as [`mf_cycles`], so each slice's result is
-/// bit-identical to its share of a full scan.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn mf_cycles_for_slices(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    atoms: &[AtomId],
-    scratch: &mut MfScratch,
-) -> ClassLoops {
-    mf_repair_slices(view, classes, atoms, scratch).0
-}
-
-/// Scoped blackhole repair: the `atoms × classes` rectangle of
-/// [`mf_holes`], per class (indexed like `classes`).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn mf_holes_for_slices(
-    view: &MfView<'_>,
-    classes: &[SecClass],
-    atoms: &[AtomId],
-    scratch: &mut MfScratch,
-) -> ClassHoles {
-    mf_repair_slices(view, classes, atoms, scratch).1
-}
-
 /// Fused scoped repair: cycles *and* blackholes of the `atoms × classes`
 /// rectangle in one pass. Each slice resolves every emitter's owner cell
-/// exactly once into the scratch's memo ([`MfScratch::succ_of`]); the
+/// exactly once into the scratch's memo ([`MfScratch::succ`]); the
 /// cycle walks then chase plain arrays and the blackhole predicate reads
 /// the same memo, so the rectangle costs one cell resolution per
 /// `(emitter, slice)` and allocates nothing per walk. Both halves are
@@ -440,85 +338,35 @@ pub(crate) fn mf_repair_slices(
             continue;
         }
         for (idx, class) in classes.iter().enumerate() {
-            scratch.slice();
-            for i in 0..scratch.emitters.len() {
-                let node = scratch.emitters[i];
-                let succ = mf_successor(view, node, atom, class);
-                scratch.succ[node.index()] = succ;
-                scratch.succ_gen[node.index()] = scratch.generation;
+            scratch.walk.begin_pass();
+            for &node in &scratch.emitters {
+                scratch.succ[node.index()] = mf_successor(view, node, atom, class);
             }
-            for i in 0..scratch.emitters.len() {
-                let start = scratch.emitters[i];
-                walk_memoized(view, scratch, start, atom, &mut loops[idx]);
+            for &start in &scratch.emitters {
+                let succ = |n: NodeId| scratch.succ[n.index()];
+                if let Some(cycle) = scratch.walk.walk(view.topology, start, succ) {
+                    loops[idx].entry(cycle).or_default().insert(atom);
+                }
             }
             // Blackholes: a node some winner forwards into (`arrived`)
             // that itself has no winner — the memo answers both sides.
             scratch.arrived.clear();
-            for i in 0..scratch.emitters.len() {
-                let node = scratch.emitters[i];
-                if let Some(link) = scratch.succ_of(node) {
+            for &node in &scratch.emitters {
+                if let Some(link) = scratch.succ[node.index()] {
                     let dst = view.topology.link(link).dst;
                     if !view.topology.is_drop_node(dst) {
                         scratch.arrived.push(dst);
                     }
                 }
             }
-            for i in 0..scratch.arrived.len() {
-                let node = scratch.arrived[i];
-                if scratch.succ_of(node).is_none() {
+            for &node in &scratch.arrived {
+                if scratch.succ[node.index()].is_none() {
                     holes[idx].entry(node).or_default().insert(atom);
                 }
             }
         }
     }
     (loops, holes)
-}
-
-/// The cycle walk of [`walk_for_cycle`], reading forwarding decisions
-/// from the slice memo instead of re-resolving owner cells, with the
-/// walk-local path state in stamped scratch arrays instead of a per-walk
-/// hash map. Traversal order, visited semantics, and the recorded cycles
-/// are identical.
-fn walk_memoized(
-    view: &MfView<'_>,
-    scratch: &mut MfScratch,
-    start: NodeId,
-    atom: AtomId,
-    cycles: &mut BTreeMap<Vec<NodeId>, AtomSet>,
-) {
-    if scratch.walk_gen == u32::MAX {
-        scratch.on_path_gen.iter_mut().for_each(|v| *v = 0);
-        scratch.walk_gen = 0;
-    }
-    scratch.walk_gen += 1;
-    scratch.path.clear();
-    let mut current = start;
-    loop {
-        let i = current.index();
-        if scratch.on_path_gen[i] == scratch.walk_gen {
-            let pos = scratch.path_pos[i] as usize;
-            let cycle = canonicalize(scratch.path[pos..].to_vec());
-            cycles.entry(cycle).or_default().insert(atom);
-            return;
-        }
-        if scratch.visited[i] == scratch.generation {
-            // Joined a path already explored this slice; any cycle it
-            // leads to was recorded by the walk that got there first.
-            return;
-        }
-        scratch.visited[i] = scratch.generation;
-        scratch.on_path_gen[i] = scratch.walk_gen;
-        scratch.path_pos[i] = scratch.path.len() as u32;
-        scratch.path.push(current);
-        let Some(link) = scratch.succ_of(current) else {
-            return;
-        };
-        let next = view.topology.link(link).dst;
-        if view.topology.is_drop_node(next) {
-            return;
-        }
-        current = next;
-    }
 }
 
 /// The per-class violation ledger behind the engine's incremental
@@ -549,8 +397,8 @@ impl MfClassState {
     }
 
     /// Builds the full ledger from per-class scan results covering every
-    /// primary atom (the outputs of [`mf_cycles_for_slices`] /
-    /// [`mf_holes_for_slices`] over the whole plane).
+    /// primary atom (the output of [`mf_repair_slices`] over the whole
+    /// plane).
     pub(crate) fn from_slices(
         classes: &[SecClass],
         loops: Vec<BTreeMap<Vec<NodeId>, AtomSet>>,
@@ -716,20 +564,15 @@ pub(crate) fn find_loops_for_rule(
         .iter()
         .filter(|class| rule.sec.matches(&class[..]))
         .collect();
-    let mut cycles = BTreeMap::new();
-    let mut scratch = MfScratch::new(view.topology.node_count());
+    let mut cycles: BTreeMap<Vec<NodeId>, AtomSet> = BTreeMap::new();
+    let mut walk = CycleWalk::new(view.topology.node_count());
     for atom in view.atoms.iter_atoms_of(interval) {
         for class in &matched {
-            let (_, visited, generation) = scratch.slice();
-            walk_for_cycle(
-                view,
-                rule.source,
-                atom,
-                class,
-                visited,
-                generation,
-                &mut cycles,
-            );
+            walk.begin_pass();
+            let succ = |n| mf_successor(view, n, atom, class);
+            if let Some(cycle) = walk.walk(view.topology, rule.source, succ) {
+                cycles.entry(cycle).or_default().insert(atom);
+            }
         }
     }
     cycles
